@@ -160,23 +160,13 @@ func (db *DB) checkpointLocked(only []bool) error {
 	}
 	db.nextGen++
 	gen := db.nextGen
-	n := len(db.mgrs)
-	names := make([]string, n)
-	freeze := make([]uint64, n)
-	chains := make([][]string, n)
-	for i := range names {
-		if db.sharded == nil {
-			names[i] = segmentName(gen)
-		} else {
-			names[i] = shardSegmentName(gen, i)
-		}
-	}
+	prev := db.man
+	entries := make([]storage.ShardEntry, len(db.mgrs))
 	first := true
 	for i := range db.mgrs {
 		if only != nil && !only[i] {
 			// Untouched shard: carry the previous chain and freeze bar.
-			freeze[i] = db.shardFreezeLSN(i)
-			chains[i] = db.shardChain(i)
+			entries[i] = prev.Shards[i]
 			continue
 		}
 		if !first {
@@ -186,16 +176,14 @@ func (db *DB) checkpointLocked(only []bool) error {
 		}
 		first = false
 		i := i
-		prevFreeze := db.shardFreezeLSN(i)
 		var retired *colstore.Store
 		err := db.mgrs[i].CheckpointInto(func(lsn uint64, store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
-			freeze[i] = lsn
 			retired = store
-			ns, err := db.buildShardImage(i, names[i], lsn-prevFreeze, store, deltas)
+			ns, err := db.buildShardImage(i, segmentName(gen, i), lsn-prev.Shards[i].LSN, store, deltas)
 			if err != nil {
 				return nil, err
 			}
-			chains[i] = storeChainNames(ns)
+			entries[i] = chainEntry(storeChainNames(ns), lsn)
 			return ns, nil
 		})
 		if err != nil {
@@ -213,8 +201,8 @@ func (db *DB) checkpointLocked(only []bool) error {
 		return err
 	}
 	mixed := false
-	for _, c := range chains {
-		if len(c) > 1 {
+	for _, e := range entries {
+		if len(e.Segments) > 1 {
 			mixed = true
 		}
 	}
@@ -223,17 +211,7 @@ func (db *DB) checkpointLocked(only []bool) error {
 			return err
 		}
 	}
-	prev := db.man
-	var man storage.Manifest
-	if db.sharded == nil {
-		man = storage.Manifest{Generation: gen, Segment: chains[0][len(chains[0])-1], Segments: chains[0], LSN: freeze[0]}
-	} else {
-		entries := make([]storage.ShardEntry, n)
-		for i := range entries {
-			entries[i] = storage.ShardEntry{Segment: chains[i][len(chains[i])-1], Segments: chains[i], LSN: freeze[i]}
-		}
-		man = storage.Manifest{Generation: gen, Shards: entries, Splits: prev.Splits}
-	}
+	man := storage.Manifest{Generation: gen, Shards: entries, Splits: prev.Splits}
 	if err := storage.WriteManifest(db.dir, man); err != nil {
 		return err
 	}
@@ -256,7 +234,7 @@ func (db *DB) checkpointLocked(only []bool) error {
 	// Past the swap the checkpoint is already durable; truncation is space
 	// reclamation (recovery filters by the manifest LSNs either way).
 	for i, l := range db.logs {
-		if err := l.TruncateBelow(freeze[i]); err != nil {
+		if err := l.TruncateBelow(entries[i].LSN); err != nil {
 			return err
 		}
 	}
@@ -385,22 +363,6 @@ func (db *DB) reindex(ns *colstore.Store, prev *colstore.Store, ds *table.DirtyS
 	return nil
 }
 
-// shardFreezeLSN reads shard i's current manifest freeze bar under db.mu.
-func (db *DB) shardFreezeLSN(i int) uint64 {
-	if len(db.man.Shards) > 0 {
-		return db.man.Shards[i].LSN
-	}
-	return db.man.LSN
-}
-
-// shardChain reads shard i's current manifest segment chain under db.mu.
-func (db *DB) shardChain(i int) []string {
-	if len(db.man.Shards) > 0 {
-		return db.man.Shards[i].Chain()
-	}
-	return db.man.Chain()
-}
-
 // storeChainNames maps a store's segment chain to manifest file names.
 func storeChainNames(s *colstore.Store) []string {
 	segs := s.Segments()
@@ -417,7 +379,7 @@ func storeChainNames(s *colstore.Store) []string {
 // counts — each in-place modify dirties about one cell, and any insert or
 // delete shifts the image's tail, costed as half the image.
 func (db *DB) decideShard(i int) CheckpointDecision {
-	tail := db.mgrs[i].LSN() - db.shardFreezeLSN(i)
+	tail := db.mgrs[i].LSN() - db.man.Shards[i].LSN
 	total := db.tbls[i].Store().NumBlocks() * db.schema.NumCols()
 	d := CheckpointDecision{TailRecords: tail, TotalBlocks: total, Mode: "skip"}
 	if tail == 0 {

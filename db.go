@@ -1,37 +1,44 @@
 package pdtstore
 
 // Durable store lifecycle: Open(dir) either bootstraps a fresh store
-// directory or recovers one — load the MANIFEST's segment generation as the
-// stable image, replay the WAL tail past the manifest's LSN, and resume the
-// commit clock — and DB.Checkpoint makes the online checkpoint durable:
+// directory or recovers one — load each shard's manifest segment chain as its
+// stable image, replay its WAL stream past the shard's freeze LSN, and resume
+// the one global commit clock — and DB.Checkpoint makes the online
+// checkpoint durable:
 //
-//	stream image  →  fsync segment  →  swap MANIFEST  →  truncate WAL
+//	stream images  →  fsync segments  →  swap MANIFEST  →  truncate WALs
 //
 // The manifest swap (an atomic rename) is the commit point. A crash anywhere
 // in that sequence recovers exactly the committed state: before the swap the
-// old manifest still pairs the old segment with the full log; after it the
-// new manifest's LSN tells recovery which log records the new image already
-// contains, so the untruncated tail cannot double-apply.
+// old manifest still pairs the old images with the full logs; after it the
+// new manifest's freeze LSNs tell recovery which log records the new images
+// already contain, so the untruncated tails cannot double-apply.
 //
-// Sharded stores (Options.Shards > 1) generalize every piece per shard: the
-// manifest lists one segment and freeze LSN per shard plus the permanent
-// split keys, each shard owns a WAL stream directory, and recovery replays
-// the streams independently before reconciling them to one global commit
-// clock — wal.CompleteGroups drops cross-shard commits that only some
-// streams got (a crash between two shards' batch fsyncs), so reopen is
-// all-or-nothing per clock entry. Checkpoint streams the shards' images one
-// at a time and commits them with a single manifest swap: a crash between
-// two shards' builds loses nothing, because the old manifest still pairs the
-// old images with the full streams.
+// Every store is a txn.Sharded of N >= 1 key-range shards; an unsharded
+// store is simply the one-shard case, with the same manifest form and the
+// same recovery path. The manifest lists one segment chain and freeze LSN
+// per shard plus the N-1 permanent split keys, and each shard owns a WAL
+// stream directory. Recovery replays the streams independently and then
+// reconciles them to the global clock: wal.CompleteGroups drops cross-shard
+// commits that only some streams got (a crash between two shards' batch
+// fsyncs), so reopen is all-or-nothing per clock entry. Checkpoint streams
+// the shards' images one at a time and commits them with a single manifest
+// swap: a crash between two shards' builds loses nothing, because the old
+// manifest still pairs the old images with the full streams.
 //
 // Directory layout:
 //
 //	dir/
-//	  MANIFEST                     current generation + segment(s) + freeze LSN(s)
-//	  seg-<generation>.seg         stable image segments (one live, rest GC'd)
-//	  seg-<generation>-s<i>.seg    per-shard stable images (sharded stores)
-//	  wal/<seq>.wal                rotated commit log files (shard 0 when sharded)
+//	  LOCK                         advisory lock held for the DB's lifetime
+//	  MANIFEST                     generation, per-shard chains + freeze LSNs, split keys
+//	  seg-<generation>-s<i>.seg    shard i's segment written at that generation
+//	  wal/<seq>.wal                shard 0's rotated commit log files
 //	  wal-s<i>/<seq>.wal           shard i's commit log stream, i >= 1
+//
+// segmentName is the one naming scheme for new segments. Recovery takes
+// segment names from the manifest, so stores whose manifests name segments
+// under an older scheme (seg-<generation>.seg) open unchanged, and their
+// flat manifests are normalized by storage.LoadManifest.
 
 import (
 	"fmt"
@@ -76,20 +83,20 @@ type Options struct {
 	// relies on natural batching: whatever arrives during the previous
 	// fsync flushes together.
 	MaxCommitDelay time.Duration
-	// Device shares a buffer pool across stores; nil creates a private one.
-	Device *colstore.Device
 	// Shards splits the table into this many key-range shards, each with its
 	// own Write-PDT, group-commit sequencer and WAL stream sharing one global
-	// commit clock (0 or 1 = unsharded). Opening an existing unsharded store
-	// with Shards > 1 adopts it — the image is cut into per-shard segments —
-	// provided its WAL tail is empty (checkpoint first); changing the shard
-	// count of an already-sharded store is not supported.
+	// commit clock (0 or 1 = one shard, i.e. unsharded). Opening an existing
+	// one-shard store with Shards > 1 adopts it — the image is cut into
+	// per-shard segments — provided its WAL tail is empty (checkpoint
+	// first); changing the shard count of a store with more than one shard
+	// is not supported.
 	Shards int
-	// ShardKeys are the Shards-1 ascending full-sort-key cuts. Required when
-	// bootstrapping a fresh sharded store (an empty image has no quantiles to
-	// cut at); optional when adopting an existing image, where nil selects
-	// row-count quantile cuts read off the image. Ignored for stores that are
-	// already sharded — the manifest's recorded splits are permanent.
+	// ShardKeys are the Shards-1 strictly ascending full-sort-key cuts.
+	// Required when bootstrapping a fresh store with Shards > 1 (an empty
+	// image has no quantiles to cut at); optional when adopting an existing
+	// image, where nil selects row-count quantile cuts read off the image.
+	// Invalid cuts fail Open before anything is written. Ignored when no
+	// adoption happens — the manifest's recorded splits are permanent.
 	ShardKeys []types.Row
 	// Checkpoint tunes incremental checkpoints and the background cost-model
 	// scheduler. The zero value selects the defaults (incremental allowed,
@@ -107,11 +114,10 @@ type Options struct {
 	IndexColumns []int
 }
 
-// Tx is the store's unified transaction interface, returned by DB.Begin for
-// sharded and unsharded stores alike: *txn.Txn implements it over a single
-// manager, *txn.STxn over the shard coordinator (pinning a consistent
-// per-shard snapshot vector and routing each operation to the owning shard).
-// Callers never branch on the store's shard layout.
+// Tx is the store's transaction interface, returned by DB.Begin for every
+// store: it pins a consistent per-shard snapshot vector and routes each
+// operation to the owning shard, so callers never branch on the store's
+// shard layout.
 type Tx interface {
 	// Schema returns the table schema.
 	Schema() *types.Schema
@@ -149,8 +155,8 @@ type DB struct {
 	opts   Options
 	schema *types.Schema
 	dev    *colstore.Device
-	// One entry per shard; unsharded stores are the one-element case with
-	// sharded == nil (no coordinator, manifest keeps the flat form).
+	// One entry per shard, coordinated by sharded; an unsharded store is
+	// the one-shard case.
 	tbls    []*table.Table
 	mgrs    []*txn.Manager
 	logs    []*wal.FileLog
@@ -197,9 +203,10 @@ const (
 	// names the previous generation's chain.
 	faultMidBlockMapWrite = "mid-block-map-write"
 	// faultBetweenShardCheckpoints fires before each shard's image build
-	// except the first (sharded stores only): some shards have already
-	// streamed and installed their new images, the rest have not, and the
-	// manifest still pairs the old images with the full WAL streams.
+	// except the first (so only on stores with several shards): some shards
+	// have already streamed and installed their new images, the rest have
+	// not, and the manifest still pairs the old images with the full WAL
+	// streams.
 	faultBetweenShardCheckpoints = "between-shard-checkpoints"
 	faultPreManifestSwap         = "pre-manifest-swap"
 	// faultPreSwapMixedGen fires just before the manifest swap when the new
@@ -215,14 +222,15 @@ const (
 	faultPostSwapPreTruncate = "post-swap-pre-truncate"
 )
 
-func segmentName(gen uint64) string { return fmt.Sprintf("seg-%016x.seg", gen) }
-
-func shardSegmentName(gen uint64, shard int) string {
+// segmentName names shard i's segment written at generation gen. It is the
+// one naming scheme for new segments; recovery reads names from the
+// manifest, so older schemes stay openable.
+func segmentName(gen uint64, shard int) string {
 	return fmt.Sprintf("seg-%016x-s%d.seg", gen, shard)
 }
 
-// shardWalDir keeps shard 0 on the unsharded stream name so adopting a
-// sharded layout inherits the existing log untouched.
+// shardWalDir keeps shard 0 on the original single-stream name, so adopting
+// more shards inherits the existing log untouched.
 func shardWalDir(shard int) string {
 	if shard == 0 {
 		return "wal"
@@ -230,15 +238,20 @@ func shardWalDir(shard int) string {
 	return fmt.Sprintf("wal-s%d", shard)
 }
 
+// chainEntry is the manifest entry naming a shard's segment chain (oldest
+// first) and its freeze LSN.
+func chainEntry(chain []string, lsn uint64) storage.ShardEntry {
+	return storage.ShardEntry{Segment: chain[len(chain)-1], Segments: chain, LSN: lsn}
+}
+
 // Open opens or creates a durable store at dir and recovers its committed
-// state: the manifest's segment generation becomes the stable image (blocks
-// pread lazily through the buffer pool), the WAL tail beyond the manifest's
-// LSN is replayed into the Write-PDT, and the commit clock resumes the
-// pre-crash sequence. A torn final WAL record (crash mid-append) is truncated
-// away; every earlier record is applied exactly once. For a sharded store the
-// same contract holds per shard, plus cross-shard atomicity: a commit clock
-// entry whose record is missing from any participant stream is dropped from
-// all of them.
+// state: each shard's manifest segment chain becomes its stable image (blocks
+// pread lazily through the buffer pool), the shard's WAL tail beyond its
+// manifest freeze LSN is replayed into its Write-PDT, and the global commit
+// clock resumes the pre-crash sequence. A torn final WAL record (crash
+// mid-append) is truncated away; every earlier record is applied exactly
+// once. Across shards, a commit clock entry whose record is missing from any
+// participant stream is dropped from all of them.
 func Open(dir string, opts Options) (*DB, error) {
 	ckpt, err := opts.Checkpoint.normalize()
 	if err != nil {
@@ -257,20 +270,13 @@ func Open(dir string, opts Options) (*DB, error) {
 			unlockDir(lock)
 		}
 	}()
-	dev := opts.Device
-	if dev == nil {
-		dev = colstore.NewDevice()
-	}
+	dev := colstore.NewDevice()
 	man, found, err := storage.LoadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	n := opts.Shards
-	if n < 1 {
-		n = 1
-	}
+	n := max(opts.Shards, 1)
 	var stores []*colstore.Store
-	var splits []types.Row
 	closeStores := func() {
 		for _, s := range stores {
 			if s != nil {
@@ -278,90 +284,36 @@ func Open(dir string, opts Options) (*DB, error) {
 			}
 		}
 	}
-	switch {
-	case found && len(man.Shards) > 0:
-		// Already sharded: the manifest's layout wins; Options.Shards may
-		// only agree with it.
-		if opts.Shards > 1 && opts.Shards != len(man.Shards) {
-			return nil, fmt.Errorf("pdtstore: store at %s has %d shards; re-sharding to %d is not supported", dir, len(man.Shards), opts.Shards)
+	if found {
+		// The manifest's layout wins; Options.Shards may only agree with it,
+		// or ask a one-shard store to adopt more shards.
+		adopt := n > 1 && len(man.Shards) == 1
+		if n > 1 && !adopt && n != len(man.Shards) {
+			return nil, fmt.Errorf("pdtstore: store at %s has %d shards; re-sharding to %d is not supported", dir, len(man.Shards), n)
 		}
-		n = len(man.Shards)
-		splits = man.Splits
-		stores = make([]*colstore.Store, n)
+		stores = make([]*colstore.Store, len(man.Shards))
 		for i, sh := range man.Shards {
-			stores[i], err = openChain(dir, sh.Chain(), dev, opts.Schema)
+			stores[i], err = openChain(dir, sh.Segments, dev, opts.Schema)
 			if err != nil {
 				closeStores()
 				return nil, fmt.Errorf("pdtstore: open shard %d segment generation %d: %w", i, man.Generation, err)
 			}
 		}
-	case found:
-		store, err := openChain(dir, man.Chain(), dev, opts.Schema)
-		if err != nil {
-			return nil, fmt.Errorf("pdtstore: open segment generation %d: %w", man.Generation, err)
-		}
-		if n > 1 {
-			stores, splits, man, err = adoptShards(dir, man, opts, dev, store, n)
-			store.Close()
+		if adopt {
+			old := stores[0]
+			stores, man, err = adoptShards(dir, man, opts, dev, old, n)
+			old.Close()
 			if err != nil {
 				return nil, err
 			}
-		} else {
-			stores = []*colstore.Store{store}
 		}
-	case n > 1:
-		// Fresh sharded bootstrap: n empty per-shard images at generation 1.
-		if opts.Schema == nil {
-			return nil, fmt.Errorf("pdtstore: creating a new store at %s requires Options.Schema", dir)
-		}
-		if len(opts.ShardKeys) != n-1 {
-			return nil, fmt.Errorf("pdtstore: bootstrapping %d shards requires %d Options.ShardKeys cuts, got %d", n, n-1, len(opts.ShardKeys))
-		}
-		splits = opts.ShardKeys
-		stores = make([]*colstore.Store, n)
-		entries := make([]storage.ShardEntry, n)
-		for i := range stores {
-			name := shardSegmentName(1, i)
-			b, err := colstore.NewFileBuilder(opts.Schema, dev, opts.BlockRows, opts.Compressed, filepath.Join(dir, name))
-			if err != nil {
-				closeStores()
-				return nil, err
-			}
-			stores[i], err = b.Finish()
-			if err != nil {
-				closeStores()
-				return nil, err
-			}
-			entries[i] = storage.ShardEntry{Segment: name}
-		}
-		man = storage.Manifest{Generation: 1, Shards: entries, Splits: splits}
-		if err := storage.WriteManifest(dir, man); err != nil {
-			closeStores()
-			return nil, err
-		}
-	default:
-		if opts.Schema == nil {
-			return nil, fmt.Errorf("pdtstore: creating a new store at %s requires Options.Schema", dir)
-		}
-		// Bootstrap: generation 1 is an empty, durable image. If the process
-		// dies between segment and manifest, the next Open simply bootstraps
-		// again over the stray file.
-		name := segmentName(1)
-		b, err := colstore.NewFileBuilder(opts.Schema, dev, opts.BlockRows, opts.Compressed, filepath.Join(dir, name))
+	} else {
+		stores, man, err = bootstrap(dir, opts, dev, n)
 		if err != nil {
 			return nil, err
 		}
-		store, err := b.Finish()
-		if err != nil {
-			return nil, err
-		}
-		man = storage.Manifest{Generation: 1, Segment: name, LSN: 0}
-		if err := storage.WriteManifest(dir, man); err != nil {
-			store.Close()
-			return nil, err
-		}
-		stores = []*colstore.Store{store}
 	}
+	n = len(stores)
 	gcStraySegments(dir, manifestSegments(man))
 
 	// Secondary indexes ride each shard image's aux sidecar; checkpoints
@@ -378,20 +330,10 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 	}
 
-	// Per-shard base LSNs: records at or below a shard's bar were
-	// materialized into its image before the manifest swapped.
-	bases := make([]uint64, n)
-	if len(man.Shards) > 0 {
-		for i, sh := range man.Shards {
-			bases[i] = sh.LSN
-		}
-	} else {
-		bases[0] = man.LSN
-	}
-
 	tbls := make([]*table.Table, n)
 	logs := make([]*wal.FileLog, n)
 	streams := make([][]wal.Record, n)
+	bases := make([]uint64, n)
 	closeLogs := func() {
 		for _, l := range logs {
 			if l != nil {
@@ -419,22 +361,23 @@ func Open(dir string, opts Options) (*DB, error) {
 			closeStores()
 			return nil, err
 		}
-		// The clock must sit at the max of the manifest's freeze LSN and the
-		// last log record: a fully truncated log must not rewind it below the
-		// checkpoint, or post-recovery commits would reuse spent LSNs.
+		// Records at or below the shard's freeze LSN were materialized into
+		// its image before the manifest swapped. The clock must sit at the
+		// max of that bar and the last log record: a fully truncated log must
+		// not rewind it below the checkpoint, or post-recovery commits would
+		// reuse spent LSNs.
+		bases[i] = man.Shards[i].LSN
 		if bases[i] > flog.LSN() {
 			flog.SetLSN(bases[i])
 		}
 		logs[i] = flog
 		streams[i] = records
 	}
-	if n > 1 {
-		// Cross-shard atomicity: a commit clock entry missing from any
-		// participant stream (crash between two shards' batch fsyncs, or
-		// a torn tail on one stream) never installed anywhere — drop it
-		// from every stream.
-		streams = wal.CompleteGroups(streams, bases)
-	}
+	// Cross-shard atomicity: a commit clock entry missing from any
+	// participant stream (crash between two shards' batch fsyncs, or a torn
+	// tail on one stream) never installed anywhere — drop it from every
+	// stream.
+	streams = wal.CompleteGroups(streams, bases)
 	mgrs := make([]*txn.Manager, n)
 	for i := range stores {
 		mgr, err := txn.NewManager(tbls[i], txn.Options{
@@ -449,9 +392,8 @@ func Open(dir string, opts Options) (*DB, error) {
 			return nil, err
 		}
 		// Replay only the records the checkpointed image does not already
-		// contain: everything at or below the shard's manifest LSN was
-		// materialized into its segment before the manifest swapped (the
-		// post-swap-pre-truncate crash leaves exactly such records behind).
+		// contain (the post-swap-pre-truncate crash leaves such records
+		// behind).
 		tail := streams[i][:0]
 		for _, rec := range streams[i] {
 			if rec.LSN > bases[i] {
@@ -465,19 +407,16 @@ func Open(dir string, opts Options) (*DB, error) {
 		}
 		mgrs[i] = mgr
 	}
-	var sharded *txn.Sharded
-	if n > 1 {
-		sharded, err = txn.NewSharded(mgrs, splits)
-		if err != nil {
-			closeLogs()
-			closeStores()
-			return nil, err
-		}
-		// Reconcile to the global clock: every shard's freeze bar is a spent
-		// LSN even when its stream was fully truncated.
-		for _, b := range bases {
-			sharded.RaiseClock(b)
-		}
+	sharded, err := txn.NewSharded(mgrs, man.Splits)
+	if err != nil {
+		closeLogs()
+		closeStores()
+		return nil, err
+	}
+	// Reconcile to the global clock: every shard's freeze bar is a spent LSN
+	// even when its stream was fully truncated.
+	for _, b := range bases {
+		sharded.RaiseClock(b)
 	}
 	db := &DB{
 		dir:      dir,
@@ -503,58 +442,95 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// adoptShards converts an existing unsharded image to a sharded layout:
-// stream the image into per-shard segments cut at the split keys, then swap a
-// sharded manifest naming them (the adopt commit point). The WAL tail past the
-// manifest's freeze LSN must be empty — tail records live on one stream and
-// cannot be re-routed — so callers checkpoint first. A crash before the swap
-// leaves the unsharded manifest intact and the partial shard segments as
-// strays for GC.
-func adoptShards(dir string, man storage.Manifest, opts Options, dev *colstore.Device, store *colstore.Store, n int) ([]*colstore.Store, []types.Row, storage.Manifest, error) {
-	flog, records, err := wal.OpenFileLog(filepath.Join(dir, "wal"))
+// bootstrap initializes a fresh store directory with n empty, durable shard
+// images at generation 1 cut at Options.ShardKeys. The cuts are validated
+// before anything is written; if the process dies between the segments and
+// the manifest, the next Open simply bootstraps again over the stray files.
+func bootstrap(dir string, opts Options, dev *colstore.Device, n int) ([]*colstore.Store, storage.Manifest, error) {
+	if opts.Schema == nil {
+		return nil, storage.Manifest{}, fmt.Errorf("pdtstore: creating a new store at %s requires Options.Schema", dir)
+	}
+	if err := txn.ValidateSplits(opts.Schema, n, opts.ShardKeys); err != nil {
+		return nil, storage.Manifest{}, fmt.Errorf("pdtstore: Options.ShardKeys: %w", err)
+	}
+	stores := make([]*colstore.Store, 0, n)
+	entries := make([]storage.ShardEntry, n)
+	fail := func(err error) ([]*colstore.Store, storage.Manifest, error) {
+		for _, s := range stores {
+			s.Close()
+		}
+		return nil, storage.Manifest{}, err
+	}
+	for i := range entries {
+		name := segmentName(1, i)
+		b, err := colstore.NewFileBuilder(opts.Schema, dev, opts.BlockRows, opts.Compressed, filepath.Join(dir, name))
+		if err != nil {
+			return fail(err)
+		}
+		st, err := b.Finish()
+		if err != nil {
+			return fail(err)
+		}
+		stores = append(stores, st)
+		entries[i] = chainEntry([]string{name}, 0)
+	}
+	man := storage.Manifest{Generation: 1, Shards: entries, Splits: opts.ShardKeys}
+	if err := storage.WriteManifest(dir, man); err != nil {
+		return fail(err)
+	}
+	return stores, man, nil
+}
+
+// adoptShards cuts a one-shard store's image into n shards: stream the image
+// into per-shard segments cut at the split keys, then swap a manifest naming
+// them (the adopt commit point). The WAL tail past the manifest's freeze LSN
+// must be empty — tail records live on one stream and cannot be re-routed —
+// so callers checkpoint first. The cuts are validated before anything is
+// written; a crash before the swap leaves the one-shard manifest intact and
+// the partial shard segments as strays for GC.
+func adoptShards(dir string, man storage.Manifest, opts Options, dev *colstore.Device, store *colstore.Store, n int) ([]*colstore.Store, storage.Manifest, error) {
+	freeze := man.Shards[0].LSN
+	flog, records, err := wal.OpenFileLog(filepath.Join(dir, shardWalDir(0)))
 	if err != nil {
-		return nil, nil, man, err
+		return nil, man, err
 	}
 	flog.Close()
 	for _, rec := range records {
-		if rec.LSN > man.LSN {
-			return nil, nil, man, fmt.Errorf("pdtstore: adopting a %d-shard layout requires an empty WAL tail (LSN %d past freeze %d): checkpoint before re-opening with Shards", n, rec.LSN, man.LSN)
+		if rec.LSN > freeze {
+			return nil, man, fmt.Errorf("pdtstore: adopting a %d-shard layout requires an empty WAL tail (LSN %d past freeze %d): checkpoint before re-opening with Shards", n, rec.LSN, freeze)
 		}
 	}
 	keys := opts.ShardKeys
 	if keys == nil {
 		if keys, err = table.ShardCuts(store, n); err != nil {
-			return nil, nil, man, err
+			return nil, man, err
 		}
-	} else if len(keys) != n-1 {
-		return nil, nil, man, fmt.Errorf("pdtstore: %d shards need %d Options.ShardKeys cuts, got %d", n, n-1, len(keys))
+	}
+	if err := txn.ValidateSplits(store.Schema(), n, keys); err != nil {
+		return nil, man, fmt.Errorf("pdtstore: Options.ShardKeys: %w", err)
 	}
 	gen := man.Generation + 1
-	names := make([]string, n)
-	for i := range names {
-		names[i] = shardSegmentName(gen, i)
-	}
 	stores, err := table.SplitStore(store, keys, func(i int) (*colstore.Builder, error) {
-		return colstore.NewFileBuilder(store.Schema(), dev, opts.BlockRows, opts.Compressed, filepath.Join(dir, names[i]))
+		return colstore.NewFileBuilder(store.Schema(), dev, opts.BlockRows, opts.Compressed, filepath.Join(dir, segmentName(gen, i)))
 	})
 	if err != nil {
-		return nil, nil, man, err
+		return nil, man, err
 	}
 	entries := make([]storage.ShardEntry, n)
 	for i := range entries {
-		entries[i] = storage.ShardEntry{Segment: names[i], LSN: man.LSN}
+		entries[i] = chainEntry([]string{segmentName(gen, i)}, freeze)
 	}
 	newMan := storage.Manifest{Generation: gen, Shards: entries, Splits: keys}
 	if err := storage.WriteManifest(dir, newMan); err != nil {
 		for _, s := range stores {
 			s.Close()
 		}
-		return nil, nil, man, err
+		return nil, man, err
 	}
-	for _, nm := range man.Chain() {
+	for _, nm := range man.Shards[0].Segments {
 		os.Remove(filepath.Join(dir, nm))
 	}
-	return stores, keys, newMan, nil
+	return stores, newMan, nil
 }
 
 // openChain opens a manifest segment chain (oldest generation first) into one
@@ -599,67 +575,10 @@ func (db *DB) Dir() string { return db.dir }
 // Shards returns the shard count (1 for an unsharded store).
 func (db *DB) Shards() int { return len(db.mgrs) }
 
-// Sharded returns the shard coordinator, or nil for an unsharded store.
-// Sharded DBs begin transactions through it: Sharded().Begin() pins a
-// consistent vector of per-shard snapshots.
-func (db *DB) Sharded() *txn.Sharded { return db.sharded }
-
-// Table returns the underlying table (reads and plans build over it); nil for
-// a sharded store, whose per-shard tables are Sharded().Shard(i) territory.
-// Direct table reads always track the newest installed version and are not
-// pinned: once a checkpoint supersedes a stable image, its descriptor is
-// closed as soon as the last pinned *transaction* releases it, so a direct
-// scan that must survive concurrent maintenance should run through Begin
-// (which pins the version for the transaction's lifetime) instead.
-func (db *DB) Table() *table.Table {
-	if db.sharded != nil {
-		return nil
-	}
-	return db.tbls[0]
-}
-
-// Manager returns the transaction manager; nil for a sharded store.
-//
-// Deprecated: Manager leaks the internal txn layer and forces callers to
-// branch on the shard layout. Use Begin for transactions and Stats for
-// observability.
-func (db *DB) Manager() *txn.Manager {
-	if db.sharded != nil {
-		return nil
-	}
-	return db.mgrs[0]
-}
-
-// Begin starts a snapshot-isolated transaction on any store: a sharded DB
-// pins a consistent vector of per-shard snapshots through the coordinator, an
-// unsharded one pins its single manager's snapshot. Both satisfy Tx.
-func (db *DB) Begin() Tx {
-	if db.sharded != nil {
-		return db.sharded.Begin()
-	}
-	return db.mgrs[0].Begin()
-}
-
-// Log returns the durable commit log; shard 0's stream on a sharded store.
-//
-// Deprecated: Log leaks the internal wal layer. Use Stats, which reports the
-// tail length, byte size and file count of every shard's stream.
-func (db *DB) Log() *wal.FileLog { return db.logs[0] }
-
-// ShardLog returns shard i's commit log stream.
-//
-// Deprecated: see Log; use Stats.
-func (db *DB) ShardLog(i int) *wal.FileLog { return db.logs[i] }
-
-// Manifest returns the current durable manifest.
-//
-// Deprecated: Manifest leaks the internal storage layer. Use Stats, which
-// reports the generation and the live segment chains.
-func (db *DB) Manifest() storage.Manifest {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.man
-}
+// Begin starts a snapshot-isolated transaction. It pins a consistent vector
+// of per-shard snapshots, one per shard; an unsharded store is the one-shard
+// case.
+func (db *DB) Begin() Tx { return db.sharded.Begin() }
 
 // Close stops the background checkpoint scheduler and waits for background
 // maintenance, then releases the log and every file-backed image. It reports
@@ -737,12 +656,9 @@ func (db *DB) injectFault(point string) error {
 // manifestSegments is the set of segment file names a manifest pins — every
 // member of every shard's generation chain, not just the newest.
 func manifestSegments(m storage.Manifest) map[string]bool {
-	keep := make(map[string]bool, len(m.Shards)+1)
-	for _, nm := range m.Chain() {
-		keep[nm] = true
-	}
+	keep := make(map[string]bool)
 	for _, sh := range m.Shards {
-		for _, nm := range sh.Chain() {
+		for _, nm := range sh.Segments {
 			keep[nm] = true
 		}
 	}

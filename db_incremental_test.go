@@ -519,7 +519,7 @@ func TestSharedSegmentRefcount(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	base := db.Table().Store().Segment() // gen-2 flat segment
+	base := db.tbls[0].Store().Segment() // gen-2 flat segment
 	long := db.Begin()                   // pins the gen-2 store
 
 	commitUpdates(t, db, m, 3)

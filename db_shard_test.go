@@ -123,14 +123,11 @@ func replayStream(t *testing.T, dir string, shard int) []wal.Record {
 func TestShardedBootstrapCommitReopen(t *testing.T) {
 	dir := t.TempDir()
 	db := openShardDB(t, dir, 4)
-	if db.Shards() != 4 || db.Sharded() == nil {
-		t.Fatalf("Shards() = %d, sharded = %v", db.Shards(), db.Sharded())
-	}
-	if db.Table() != nil || db.Manager() != nil {
-		t.Fatal("sharded DB must not expose a flat table/manager")
+	if db.Shards() != 4 || db.sharded.Shards() != 4 {
+		t.Fatalf("Shards() = %d, coordinator shards = %d", db.Shards(), db.sharded.Shards())
 	}
 	man := db.man
-	if len(man.Shards) != 4 || len(man.Splits) != 3 || man.Segment != "" {
+	if len(man.Shards) != 4 || len(man.Splits) != 3 {
 		t.Fatalf("sharded manifest = %+v", man)
 	}
 	m := model{}
@@ -176,12 +173,12 @@ func TestShardedCrashRecovery(t *testing.T) {
 	m := model{}
 	sCommitInserts(t, db, m, 1, 2, 3, 251, 252, 501, 751)
 	sCommitInserts(t, db, m, 800, 900) // shard 3 single-shard batches
-	clock := db.Sharded().Clock()
+	clock := db.sharded.Clock()
 	db.crash()
 
 	db = openShardDB(t, dir, 4)
 	sCheckState(t, db, m)
-	if got := db.Sharded().Clock(); got < clock {
+	if got := db.sharded.Clock(); got < clock {
 		t.Fatalf("commit clock rewound across crash: %d < %d", got, clock)
 	}
 	// The clock keeps ticking past recovery: another round, another crash.
@@ -255,7 +252,7 @@ func TestShardedCrashBetweenAppends(t *testing.T) {
 	sCommitInserts(t, db, m, 10, 260, 510, 760)
 
 	errBoom := errors.New("injected crash between shard appends")
-	db.Sharded().SetCommitFault(&txn.CommitFault{
+	db.sharded.SetCommitFault(&txn.CommitFault{
 		BetweenAppends: func(i int) error { return errBoom },
 	})
 	tx := db.Begin()
@@ -302,7 +299,7 @@ func TestShardedCrashBetweenInstalls(t *testing.T) {
 	sCommitInserts(t, db, m, 10, 260, 510, 760)
 
 	errBoom := errors.New("injected crash between shard installs")
-	db.Sharded().SetCommitFault(&txn.CommitFault{
+	db.sharded.SetCommitFault(&txn.CommitFault{
 		BetweenInstalls: func(i int) error { return errBoom },
 	})
 	tx := db.Begin()

@@ -33,11 +33,11 @@
 // DB.Checkpoint writes it back. The stable image lives in immutable segment
 // files (per-column encoded blocks behind a CRC'd footer, pread lazily
 // through the buffer pool, internal/storage), commits append to a rotated,
-// fsynced file WAL (internal/wal), and a MANIFEST names the current
-// segment generation plus the WAL position it contains. A checkpoint streams
-// the committed view into the next generation, fsyncs, atomically swaps the
-// MANIFEST and truncates the log; recovery loads the manifest's segment,
-// replays only the WAL tail past the manifest's LSN (so an interrupted
+// fsynced file WAL (internal/wal), and a MANIFEST names each shard's
+// current segment chain plus the WAL position it contains. A checkpoint
+// streams the committed view into the next generation, fsyncs, atomically
+// swaps the MANIFEST and truncates the log; recovery loads the manifest's
+// segments, replays only the WAL tail past each freeze LSN (so an interrupted
 // truncation cannot double-apply), truncates a torn final record, and
 // resumes the commit clock. Crashing at any point of that sequence recovers
 // exactly the committed state. A superseded segment's descriptor is closed
@@ -58,14 +58,12 @@
 // tail, generation chain, per-segment live-block counts and the last
 // scheduler decision.
 //
-// The public write surface is the Tx interface: DB.Begin returns one
-// regardless of sharding, and DB.Stats is the window into durability
-// state. The old accessors — DB.Manager, DB.Log, DB.ShardLog and
-// DB.Manifest — remain as deprecated wrappers for one release: they leak
-// internal types (txn.Manager, wal.FileLog, storage.Manifest) and bypass
-// the locking Stats does for you; migrate to DB.Begin, DB.Stats and
-// DB.Checkpoint. TestPublicAPISnapshot pins the exported surface against
-// testdata/api.golden so drift is caught in review.
+// The public write surface is the Tx interface: DB.Begin returns one for
+// every store, and DB.Stats is the window into durability state. An
+// unsharded store is a one-shard store — the same coordinator, manifest form
+// and recovery path as any sharded one — so no accessor exposes a layer
+// that only one shape has. TestPublicAPISnapshot pins the exported surface
+// against testdata/api.golden so drift is caught in review.
 //
 // Commits group-commit: concurrent Txn.Commit calls validate and fold under
 // a narrow critical section, park on a commit sequencer, and a leader makes
@@ -97,7 +95,7 @@
 // then install behind a begin gate — and recovery drops incomplete groups
 // from every stream (wal.CompleteGroups), so a torn cross-shard commit is
 // all-or-nothing per clock entry. Begin pins a consistent per-shard snapshot
-// vector; an existing unsharded store adopts sharding at Open (checkpointed
+// vector; an existing one-shard store adopts more shards at Open (checkpointed
 // tail required, manifest swap as the commit point); checkpoints build
 // per-shard segments behind a single manifest swap and truncate each stream
 // at its own freeze LSN.

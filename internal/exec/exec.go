@@ -1,6 +1,6 @@
 // Package exec provides the small vectorized query-processing toolkit the
-// TPC-H workload is written against: batch streaming over any positional
-// source, filtering, hash aggregation, hash joins and ordering. It is
+// TPC-H workload is written against: batch collection over any positional
+// source, hash aggregation and deterministic result formatting. It is
 // deliberately minimal — the paper's subject is the scan/merge path, and
 // these operators supply the "processing" side of each query in
 // block-at-a-time style.
@@ -15,28 +15,6 @@ import (
 	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
 )
-
-// Stream pulls batches of up to batchSize rows from src and hands each to fn
-// (the batch is reused; fn must not retain it).
-func Stream(src pdt.BatchSource, kinds []types.Kind, batchSize int, fn func(b *vector.Batch) error) error {
-	if batchSize <= 0 {
-		batchSize = 1024
-	}
-	b := vector.NewBatch(kinds, batchSize)
-	for {
-		b.Reset()
-		n, err := src.Next(b, batchSize)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return nil
-		}
-		if err := fn(b); err != nil {
-			return err
-		}
-	}
-}
 
 // Collect drains src into one batch, stepping by batchSize rows per pull
 // (<= 0 selects 1024) and pre-sizing the output from the source's row-count
@@ -199,100 +177,6 @@ func (g *GroupAgg) Results() []Result {
 		return types.CompareRows(out[i].Key, out[j].Key) < 0
 	})
 	return out
-}
-
-// IntJoinMap is a hash join build side keyed by int64 (the common TPC-H
-// case: all join keys are integer surrogates).
-type IntJoinMap struct {
-	rows map[int64][]types.Row
-}
-
-// NewIntJoinMap builds a join map from the selected rows of a batch (sel nil
-// means all rows): key column keyCol, payload the given columns.
-func NewIntJoinMap(b *vector.Batch, sel []uint32, keyCol int, payloadCols []int) *IntJoinMap {
-	n := b.Len()
-	if sel != nil {
-		n = len(sel)
-	}
-	m := NewEmptyIntJoinMap(n)
-	m.AddBatch(b, sel, keyCol, payloadCols)
-	return m
-}
-
-// NewEmptyIntJoinMap returns an empty build side sized for capHint rows, for
-// incremental building with AddBatch — the per-worker partial state of a
-// parallel join build.
-func NewEmptyIntJoinMap(capHint int) *IntJoinMap {
-	if capHint < 0 {
-		capHint = 0
-	}
-	return &IntJoinMap{rows: make(map[int64][]types.Row, capHint)}
-}
-
-// AddBatch inserts the selected rows of a batch (sel nil means all rows):
-// key column keyCol, payload the given columns.
-func (m *IntJoinMap) AddBatch(b *vector.Batch, sel []uint32, keyCol int, payloadCols []int) {
-	build := func(i int) {
-		k := b.Vecs[keyCol].I[i]
-		payload := make(types.Row, len(payloadCols))
-		for j, c := range payloadCols {
-			payload[j] = b.Vecs[c].Get(i)
-		}
-		m.rows[k] = append(m.rows[k], payload)
-	}
-	if sel != nil {
-		for _, i := range sel {
-			build(int(i))
-		}
-	} else {
-		for i := 0; i < b.Len(); i++ {
-			build(i)
-		}
-	}
-}
-
-// Merge folds another build side into m, appending o's payload rows after
-// m's for shared keys — so merging per-partition maps in partition order
-// reproduces the row order of a serial build. o must not be used afterwards.
-func (m *IntJoinMap) Merge(o *IntJoinMap) {
-	for k, rs := range o.rows {
-		if mine, ok := m.rows[k]; ok {
-			m.rows[k] = append(mine, rs...)
-		} else {
-			m.rows[k] = rs
-		}
-	}
-}
-
-// Probe returns the payload rows for key.
-func (m *IntJoinMap) Probe(key int64) []types.Row { return m.rows[key] }
-
-// ProbeOne returns the single payload row for key (unique joins).
-func (m *IntJoinMap) ProbeOne(key int64) (types.Row, bool) {
-	rs := m.rows[key]
-	if len(rs) == 0 {
-		return nil, false
-	}
-	return rs[0], true
-}
-
-// Len returns the number of distinct keys.
-func (m *IntJoinMap) Len() int { return len(m.rows) }
-
-// SortBatch returns the selected row indexes of b (sel nil means all rows)
-// ordered by less. The input selection is not modified.
-func SortBatch(b *vector.Batch, sel []uint32, less func(i, j uint32) bool) []uint32 {
-	var idx []uint32
-	if sel != nil {
-		idx = append([]uint32(nil), sel...)
-	} else {
-		idx = make([]uint32, b.Len())
-		for i := range idx {
-			idx[i] = uint32(i)
-		}
-	}
-	sort.SliceStable(idx, func(x, y int) bool { return less(idx[x], idx[y]) })
-	return idx
 }
 
 // FormatRow renders a result row with fixed float precision, for the

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"testing"
 
 	"pdtstore/internal/types"
@@ -24,30 +23,21 @@ func (f *fakeSource) Next(out *vector.Batch, max int) (int, error) {
 	return n, nil
 }
 
-func TestStreamAndCollect(t *testing.T) {
+func TestCollect(t *testing.T) {
 	vals := make([]int64, 100)
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	kinds := []types.Kind{types.Int64}
-	sum := int64(0)
-	err := Stream(&fakeSource{vals: vals}, kinds, 7, func(b *vector.Batch) error {
-		for _, v := range b.Vecs[0].I {
-			sum += v
-		}
-		return nil
-	})
-	if err != nil || sum != 4950 {
-		t.Fatalf("stream sum = %d (%v)", sum, err)
-	}
-	out, err := Collect(&fakeSource{vals: vals}, kinds, 7)
+	out, err := Collect(&fakeSource{vals: vals}, []types.Kind{types.Int64}, 7)
 	if err != nil || out.Len() != 100 {
 		t.Fatalf("collect: %d rows (%v)", out.Len(), err)
 	}
-	wantErr := errors.New("stop")
-	err = Stream(&fakeSource{vals: vals}, kinds, 7, func(b *vector.Batch) error { return wantErr })
-	if !errors.Is(err, wantErr) {
-		t.Fatal("stream did not propagate error")
+	sum := int64(0)
+	for _, v := range out.Vecs[0].I {
+		sum += v
+	}
+	if sum != 4950 {
+		t.Fatalf("collect sum = %d", sum)
 	}
 }
 
@@ -116,41 +106,6 @@ func TestGroupKey(t *testing.T) {
 	}
 	if GroupKey(types.Str("x"), types.Int(1)) != a {
 		t.Fatal("group key not deterministic")
-	}
-}
-
-func TestIntJoinMap(t *testing.T) {
-	b := vector.NewBatch([]types.Kind{types.Int64, types.String}, 4)
-	b.AppendRow(types.Row{types.Int(1), types.Str("a")})
-	b.AppendRow(types.Row{types.Int(2), types.Str("b")})
-	b.AppendRow(types.Row{types.Int(1), types.Str("c")})
-	m := NewIntJoinMap(b, nil, 0, []int{1})
-	if m.Len() != 2 {
-		t.Fatalf("len = %d", m.Len())
-	}
-	if rows := m.Probe(1); len(rows) != 2 || rows[1][0].S != "c" {
-		t.Fatalf("probe(1) = %v", rows)
-	}
-	if _, ok := m.ProbeOne(9); ok {
-		t.Fatal("probe of missing key")
-	}
-	if r, ok := m.ProbeOne(2); !ok || r[0].S != "b" {
-		t.Fatalf("probeOne(2) = %v", r)
-	}
-}
-
-func TestSortBatch(t *testing.T) {
-	b := vector.NewBatch([]types.Kind{types.Int64}, 4)
-	for _, v := range []int64{3, 1, 2} {
-		b.AppendRow(types.Row{types.Int(v)})
-	}
-	idx := SortBatch(b, nil, func(i, j uint32) bool { return b.Vecs[0].I[i] < b.Vecs[0].I[j] })
-	if b.Vecs[0].I[idx[0]] != 1 || b.Vecs[0].I[idx[2]] != 3 {
-		t.Fatalf("sort order = %v", idx)
-	}
-	sub := SortBatch(b, []uint32{2, 0}, func(i, j uint32) bool { return b.Vecs[0].I[i] < b.Vecs[0].I[j] })
-	if len(sub) != 2 || b.Vecs[0].I[sub[0]] != 2 || b.Vecs[0].I[sub[1]] != 3 {
-		t.Fatalf("selected sort order = %v", sub)
 	}
 }
 

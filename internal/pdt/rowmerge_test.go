@@ -1,11 +1,114 @@
 package pdt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"pdtstore/internal/types"
 )
+
+// rowSource supplies stable tuples one at a time, in SID order.
+type rowSource interface {
+	// NextRow returns the next stable tuple, or ok=false at end of input.
+	NextRow() (row types.Row, ok bool)
+}
+
+// rowMerge is the paper's Algorithm 2 in its literal tuple-at-a-time form: a
+// next() method that passes stable tuples through until the skip counter
+// reaches the next update position, then applies the update blindly. The
+// block-wise MergeScan supersedes it on the query path; it lives here as
+// the test oracle the block-wise merge must agree with exactly, and as the
+// readable reference for how positional merging works. It yields the
+// visible tuples of a stable row stream merged with a PDT, with their RIDs.
+type rowMerge struct {
+	t    *PDT
+	scan rowSource
+	cur  cursor
+	rid  uint64
+	sid  uint64 // SID of the next stable tuple the source will yield
+}
+
+// newRowMerge positions the merge at startSID of the stable image; the
+// source must yield exactly the stable tuples from startSID onward.
+func newRowMerge(t *PDT, scan rowSource, startSID uint64) *rowMerge {
+	cur := t.newCursorAtSid(startSID)
+	return &rowMerge{
+		t:    t,
+		scan: scan,
+		cur:  cur,
+		rid:  uint64(int64(startSID) + cur.delta),
+		sid:  startSID,
+	}
+}
+
+// Next returns the next visible tuple and its RID; ok=false at the end.
+// This is Algorithm 2's next() with the skip counter expressed as the
+// SID distance to the cursor's entry.
+func (m *rowMerge) Next() (row types.Row, rid uint64, ok bool, err error) {
+	for {
+		if !m.cur.valid() {
+			// No more updates: pure pass-through.
+			tuple, more := m.scan.NextRow()
+			if !more {
+				return nil, 0, false, nil
+			}
+			m.sid++
+			out := m.rid
+			m.rid++
+			return tuple, out, true, nil
+		}
+		switch usid := m.cur.sid(); {
+		case usid > m.sid:
+			// skip > 0: the update is further ahead; pass one tuple through.
+			tuple, more := m.scan.NextRow()
+			if !more {
+				return nil, 0, false, nil
+			}
+			m.sid++
+			out := m.rid
+			m.rid++
+			return tuple, out, true, nil
+		case usid < m.sid:
+			return nil, 0, false, fmt.Errorf("pdt: row merge cursor behind scan")
+		default:
+			switch kind := m.cur.kind(); kind {
+			case KindIns:
+				tuple := m.t.vals.ins[m.cur.val()].Clone()
+				m.cur.advance()
+				out := m.rid
+				m.rid++
+				return tuple, out, true, nil
+			case KindDel:
+				// delete: do not return the current tuple
+				if _, more := m.scan.NextRow(); !more {
+					return nil, 0, false, nil
+				}
+				m.sid++
+				m.cur.advance()
+			default:
+				// modify run: apply every modified column of this tuple
+				tuple, more := m.scan.NextRow()
+				if !more {
+					return nil, 0, false, nil
+				}
+				tuple = tuple.Clone()
+				for m.cur.valid() && m.cur.sid() == usid {
+					k := m.cur.kind()
+					if k == KindIns || k == KindDel {
+						return nil, 0, false, fmt.Errorf("pdt: malformed chain at sid %d", usid)
+					}
+					tuple[k] = m.t.vals.mods[k][m.cur.val()]
+					m.cur.advance()
+				}
+				m.sid++
+				out := m.rid
+				m.rid++
+				return tuple, out, true, nil
+			}
+		}
+	}
+}
 
 type rowSliceSource struct {
 	rows []types.Row
@@ -31,7 +134,7 @@ func TestRowMergeMatchesReference(t *testing.T) {
 	applyModify(t, p, ref, 8, 1, types.Int(888))
 	applyModify(t, p, ref, 8, 2, types.Str("mm"))
 
-	m := NewRowMerge(p, &rowSliceSource{rows: stable}, 0)
+	m := newRowMerge(p, &rowSliceSource{rows: stable}, 0)
 	var got []types.Row
 	for {
 		row, rid, ok, err := m.Next()
@@ -69,7 +172,7 @@ func TestRowMergeEqualsBlockMergeRandomized(t *testing.T) {
 
 		blockOut := mergeAll(t, p, stable)
 
-		m := NewRowMerge(p, &rowSliceSource{rows: stable}, 0)
+		m := newRowMerge(p, &rowSliceSource{rows: stable}, 0)
 		i := 0
 		for {
 			row, rid, ok, err := m.Next()
@@ -103,7 +206,7 @@ func TestRowMergeMidRangeStart(t *testing.T) {
 	applyDelete(t, p, ref, 4)                                                       // stable sid 3
 
 	// Start at stable SID 10: source yields rows 10..19.
-	m := NewRowMerge(p, &rowSliceSource{rows: stable[10:]}, 10)
+	m := newRowMerge(p, &rowSliceSource{rows: stable[10:]}, 10)
 	row, rid, ok, err := m.Next()
 	if err != nil || !ok {
 		t.Fatal(err)

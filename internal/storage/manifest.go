@@ -16,32 +16,19 @@ const ManifestName = "MANIFEST"
 
 // Manifest is the durable root of a store directory. Swapping it (an atomic
 // rename) is the commit point of a checkpoint: after the swap, recovery loads
-// Segment and replays only WAL records with LSN > LSN; before it, recovery
-// loads the previous generation and replays the full log. Either way the
-// reconstructed state is exactly the committed state.
+// each shard's segment chain and replays only that shard's WAL records past
+// its freeze LSN; before it, recovery loads the previous generation and
+// replays the full log. Either way the reconstructed state is exactly the
+// committed state. Every store has this one form; an unsharded store is the
+// one-shard case.
 type Manifest struct {
 	// Generation counts checkpoints; segment files are named after it.
 	Generation uint64 `json:"generation"`
-	// Segment is the file name (within the store directory) of the stable
-	// image this generation checkpointed (unsharded stores only; a sharded
-	// store leaves it empty and lists one entry per shard in Shards).
-	Segment string `json:"segment,omitempty"`
-	// Segments, when non-empty, is the generation's full segment chain,
-	// oldest first: an incremental checkpoint writes only dirty blocks into a
-	// new segment (always the last chain member, equal to Segment) and its
-	// block map resolves inherited blocks into the earlier members. A
-	// single-element chain — or an absent one, the pre-incremental format —
-	// is a self-contained image.
-	Segments []string `json:"segments,omitempty"`
-	// LSN is the commit clock at the checkpoint's freeze point: every commit
-	// with LSN <= this is contained in Segment, every later commit is only in
-	// the WAL.
-	LSN uint64 `json:"lsn,omitempty"`
-	// Shards, when non-empty, marks the store as sharded: entry i names
-	// shard i's stable image and its own freeze LSN (shards checkpoint
+	// Shards holds one entry per key-range shard (at least one): entry i
+	// names shard i's stable image and its own freeze LSN (shards checkpoint
 	// independently, so the bars differ). All LSNs live on one global commit
 	// clock shared by every shard's WAL stream.
-	Shards []ShardEntry `json:"shards,omitempty"`
+	Shards []ShardEntry `json:"shards"`
 	// Splits are the len(Shards)-1 ascending full-sort-key cuts routing keys
 	// to shards: shard 0 owns keys below Splits[0], shard i owns
 	// [Splits[i-1], Splits[i]), the last shard owns the rest. Fixed at the
@@ -49,37 +36,30 @@ type Manifest struct {
 	Splits []types.Row `json:"splits,omitempty"`
 }
 
-// ShardEntry is one shard's slot in a sharded manifest.
+// ShardEntry is one shard's slot in the manifest.
 type ShardEntry struct {
-	// Segment is the file name of the shard's stable image.
+	// Segment is the file name of the shard's newest segment, the one
+	// carrying the block map (always the last member of Segments).
 	Segment string `json:"segment"`
-	// Segments is the shard's segment chain, oldest first (see
-	// Manifest.Segments). Empty means the single self-contained Segment.
-	Segments []string `json:"segments,omitempty"`
+	// Segments is the shard's segment chain, oldest first: an incremental
+	// checkpoint writes only dirty blocks into a new segment and its block
+	// map resolves inherited blocks into the earlier members. A
+	// single-element chain is a self-contained image. LoadManifest always
+	// returns it non-empty.
+	Segments []string `json:"segments"`
 	// LSN is the shard's checkpoint freeze bar: every commit touching this
-	// shard with LSN <= this is contained in Segment.
+	// shard with LSN <= this is contained in the chain.
 	LSN uint64 `json:"lsn"`
 }
 
-// Chain returns the unsharded generation's segment chain, oldest first,
-// normalizing the pre-incremental single-segment form.
-func (m Manifest) Chain() []string {
-	if len(m.Segments) > 0 {
-		return m.Segments
-	}
-	if m.Segment != "" {
-		return []string{m.Segment}
-	}
-	return nil
-}
-
-// Chain returns the shard's segment chain, oldest first, normalizing the
-// pre-incremental single-segment form.
-func (e ShardEntry) Chain() []string {
-	if len(e.Segments) > 0 {
-		return e.Segments
-	}
-	return []string{e.Segment}
+// legacyManifest holds the flat top-level fields of manifests written before
+// every store became a sharded one: one segment, its optional chain and one
+// freeze LSN. LoadManifest folds them into a single ShardEntry.
+type legacyManifest struct {
+	Manifest
+	Segment  string   `json:"segment"`
+	Segments []string `json:"segments"`
+	LSN      uint64   `json:"lsn"`
 }
 
 // WriteManifest durably installs m as dir's manifest: write to a temp file,
@@ -119,6 +99,11 @@ func WriteManifest(dir string, m Manifest) error {
 // LoadManifest reads dir's manifest. ok is false when none exists (a fresh
 // directory); any other failure is an error — a store with an unreadable
 // manifest must not be silently re-initialized over live data.
+//
+// LoadManifest is the single normalizer of every historical form: a flat
+// manifest (top-level segment, optional segments chain, lsn) becomes a
+// one-entry Shards list, and an entry without a chain gets its one-element
+// chain, so callers only ever see the current form.
 func LoadManifest(dir string) (m Manifest, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -127,24 +112,33 @@ func LoadManifest(dir string) (m Manifest, ok bool, err error) {
 	if err != nil {
 		return Manifest{}, false, err
 	}
-	if err := json.Unmarshal(data, &m); err != nil {
+	var raw legacyManifest
+	if err := json.Unmarshal(data, &raw); err != nil {
 		return Manifest{}, false, fmt.Errorf("storage: corrupt manifest: %w", err)
 	}
-	if m.Segment == "" && len(m.Shards) == 0 {
-		return Manifest{}, false, fmt.Errorf("storage: manifest names no segment")
+	m = raw.Manifest
+	if len(m.Shards) == 0 {
+		if raw.Segment == "" {
+			return Manifest{}, false, fmt.Errorf("storage: manifest names no segment")
+		}
+		if err := validateChain(raw.Segment, raw.Segments); err != nil {
+			return Manifest{}, false, err
+		}
+		m.Shards = []ShardEntry{{Segment: raw.Segment, Segments: raw.Segments, LSN: raw.LSN}}
 	}
-	if err := validateChain(m.Segment, m.Segments); err != nil {
-		return Manifest{}, false, err
-	}
-	for i, sh := range m.Shards {
+	for i := range m.Shards {
+		sh := &m.Shards[i]
 		if sh.Segment == "" {
 			return Manifest{}, false, fmt.Errorf("storage: manifest shard %d names no segment", i)
 		}
 		if err := validateChain(sh.Segment, sh.Segments); err != nil {
 			return Manifest{}, false, fmt.Errorf("storage: manifest shard %d: %w", i, err)
 		}
+		if len(sh.Segments) == 0 {
+			sh.Segments = []string{sh.Segment}
+		}
 	}
-	if len(m.Shards) > 0 && len(m.Splits) != len(m.Shards)-1 {
+	if len(m.Splits) != len(m.Shards)-1 {
 		return Manifest{}, false, fmt.Errorf("storage: manifest has %d shards but %d split keys", len(m.Shards), len(m.Splits))
 	}
 	return m, true, nil
@@ -154,15 +148,12 @@ func LoadManifest(dir string) (m Manifest, ok bool, err error) {
 // name: every member must be named and the newest chain member must be the
 // segment the entry points at (readers resolve the block map out of it).
 func validateChain(segment string, chain []string) error {
-	if len(chain) == 0 {
-		return nil
-	}
 	for i, nm := range chain {
 		if nm == "" {
 			return fmt.Errorf("storage: manifest chain member %d is unnamed", i)
 		}
 	}
-	if segment != "" && chain[len(chain)-1] != segment {
+	if len(chain) > 0 && chain[len(chain)-1] != segment {
 		return fmt.Errorf("storage: manifest chain ends at %q, segment is %q", chain[len(chain)-1], segment)
 	}
 	return nil

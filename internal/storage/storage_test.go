@@ -172,7 +172,9 @@ func TestManifestRoundtrip(t *testing.T) {
 	if _, ok, err := LoadManifest(dir); err != nil || ok {
 		t.Fatalf("fresh dir: ok=%v err=%v, want absent", ok, err)
 	}
-	m := Manifest{Generation: 3, Segment: "seg-0000000000000003.seg", LSN: 42}
+	m := Manifest{Generation: 3, Shards: []ShardEntry{{
+		Segment: "seg-0000000000000003-s0.seg", Segments: []string{"seg-0000000000000003-s0.seg"}, LSN: 42,
+	}}}
 	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +186,9 @@ func TestManifestRoundtrip(t *testing.T) {
 		t.Fatalf("manifest = %+v, want %+v", got, m)
 	}
 	// Overwrite with the next generation: the swap replaces, never appends.
-	m2 := Manifest{Generation: 4, Segment: "seg-0000000000000004.seg", LSN: 99}
+	m2 := Manifest{Generation: 4, Shards: []ShardEntry{{
+		Segment: "seg-0000000000000004-s0.seg", Segments: []string{"seg-0000000000000004-s0.seg"}, LSN: 99,
+	}}}
 	if err := WriteManifest(dir, m2); err != nil {
 		t.Fatal(err)
 	}

@@ -91,17 +91,9 @@ func NewSharded(mgrs []*Manager, keys []types.Row) (*Sharded, error) {
 	if len(mgrs) == 0 {
 		return nil, fmt.Errorf("txn: sharded table needs at least one shard")
 	}
-	if len(keys) != len(mgrs)-1 {
-		return nil, fmt.Errorf("txn: %d shards need %d split keys, got %d", len(mgrs), len(mgrs)-1, len(keys))
-	}
 	schema := mgrs[0].tbl.Schema()
-	for i, k := range keys {
-		if len(k) != len(schema.SortKey) {
-			return nil, fmt.Errorf("txn: split key %d: need the full %d-column sort key", i, len(schema.SortKey))
-		}
-		if i > 0 && types.CompareRows(keys[i-1], k) >= 0 {
-			return nil, fmt.Errorf("txn: split keys must be strictly ascending")
-		}
+	if err := ValidateSplits(schema, len(mgrs), keys); err != nil {
+		return nil, err
 	}
 	s := &Sharded{mgrs: mgrs, keys: keys, schema: schema, clock: new(atomic.Uint64)}
 	for i, m := range mgrs {
@@ -110,6 +102,31 @@ func NewSharded(mgrs []*Manager, keys []types.Row) (*Sharded, error) {
 		m.clock = s.clock
 	}
 	return s, nil
+}
+
+// ValidateSplits checks the split keys of an n-shard layout over schema:
+// exactly n-1 cuts, each a full sort key of the sort-key column kinds, in
+// strictly ascending order. NewSharded applies it; callers persisting a
+// layout run it first, so an invalid one is rejected before anything is
+// written.
+func ValidateSplits(schema *types.Schema, n int, keys []types.Row) error {
+	if len(keys) != n-1 {
+		return fmt.Errorf("txn: %d shards need %d split keys, got %d", n, n-1, len(keys))
+	}
+	for i, k := range keys {
+		if len(k) != len(schema.SortKey) {
+			return fmt.Errorf("txn: split key %d: need the full %d-column sort key", i, len(schema.SortKey))
+		}
+		for j, c := range schema.SortKey {
+			if k[j].K != schema.Cols[c].Kind {
+				return fmt.Errorf("txn: split key %d: column %d is %v, sort key wants %v", i, j, k[j].K, schema.Cols[c].Kind)
+			}
+		}
+		if i > 0 && types.CompareRows(keys[i-1], k) >= 0 {
+			return fmt.Errorf("txn: split keys must be strictly ascending")
+		}
+	}
+	return nil
 }
 
 // Shards returns the shard count.
@@ -640,7 +657,7 @@ func (m *Manager) prepareCommit(t *Txn) (*preparedCommit, error) {
 		}
 		serialized = next
 	}
-	folded, err := m.fold(m.writePDT, serialized)
+	folded, err := pdt.FoldSnap(m.writePDT, serialized)
 	if err != nil {
 		return fail(err)
 	}

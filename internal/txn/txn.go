@@ -124,7 +124,6 @@ type Manager struct {
 
 	writeBudget uint64 // bytes before Write→Read propagation
 	log         wal.Log
-	entrywise   bool
 }
 
 type committedTxn struct {
@@ -157,11 +156,6 @@ type Options struct {
 	// Log, when set, receives one record per commit (the WAL): an in-memory
 	// wal.Writer, or a wal.FileLog for commit-durable operation.
 	Log wal.Log
-	// EntrywisePropagate folds PDT layers with the per-entry reference
-	// algorithm instead of the bulk merge. It exists so the update
-	// benchmarks can measure the pre-vectorized write path; production
-	// callers leave it false.
-	EntrywisePropagate bool
 	// MaxCommitBatch caps how many parked commits one leader flush folds
 	// into a single WAL append (and fsync). Zero selects 128. One disables
 	// group commit — every commit pays its own durability barrier — which
@@ -196,7 +190,6 @@ func NewManager(tbl *table.Table, opts Options) (*Manager, error) {
 		running:     map[*Txn]struct{}{},
 		writeBudget: budget,
 		log:         opts.Log,
-		entrywise:   opts.EntrywisePropagate,
 		maxBatch:    maxBatch,
 		maxDelay:    opts.MaxCommitDelay,
 	}
@@ -219,30 +212,6 @@ func raiseClock(c *atomic.Uint64, lsn uint64) {
 			return
 		}
 	}
-}
-
-// propagate folds src into dst in place with the configured algorithm
-// (recovery's replay path; live commits use the non-destructive fold).
-func (m *Manager) propagate(dst, src *pdt.PDT) error {
-	if m.entrywise {
-		return dst.PropagateEntrywise(src)
-	}
-	return dst.Propagate(src)
-}
-
-// fold merges layer over base into a new PDT, leaving both inputs intact.
-// FoldSnap shares base's structure copy-on-write when layer is small — the
-// group-commit common case — so per-commit fold cost tracks the delta size,
-// not the Write-PDT size.
-func (m *Manager) fold(base, layer *pdt.PDT) (*pdt.PDT, error) {
-	if m.entrywise {
-		out := base.Copy()
-		if err := out.PropagateEntrywise(layer); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	return pdt.FoldSnap(base, layer)
 }
 
 // Table returns the underlying table.
@@ -343,7 +312,7 @@ func (m *Manager) Recover(records []wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("txn: recover LSN %d: %w", rec.LSN, err)
 		}
-		if err := m.propagate(m.writePDT, p); err != nil {
+		if err := m.writePDT.Propagate(p); err != nil {
 			return fmt.Errorf("txn: recover LSN %d: %w", rec.LSN, err)
 		}
 		m.lsn = rec.LSN
@@ -656,7 +625,7 @@ func (t *Txn) Commit() error {
 	if base == nil {
 		base = m.writePDT
 	}
-	folded, err := m.fold(base, serialized)
+	folded, err := pdt.FoldSnap(base, serialized)
 	if err != nil {
 		m.finishLocked(t)
 		m.mu.Unlock()
